@@ -148,15 +148,25 @@ def test_bench_locate_throughput(serve_index, record_artifact):
     )
 
 
-def test_bench_overload_sheds_cleanly(serve_index):
+def test_bench_overload_sheds_cleanly(serve_index, monkeypatch):
     """Over-capacity burst: 503s appear, /healthz keeps answering."""
     dataset = serve_index.dataset
+    # Lookups are held until the burst has been sent and /healthz has
+    # answered, so the burst is guaranteed to overlap the admitted ones.
+    entered, release = threading.Event(), threading.Event()
+    locate_many = serve_index.locate_many
+
+    def gated_locate_many(keys):
+        entered.set()
+        release.wait(timeout=10.0)
+        return locate_many(keys)
+
+    monkeypatch.setattr(serve_index, "locate_many", gated_locate_many)
     server = SnapshotServer(
         serve_index,
         port=0,
         max_inflight=2,
         max_pending=2,
-        batch_window_s=0.05,
         cache_size=1,
     )
     shed = ok = 0
@@ -185,10 +195,19 @@ def test_bench_overload_sheds_cleanly(serve_index):
         ]
         for t in threads:
             t.start()
-        # Liveness during the burst is the contract under test.
-        health = SnapshotClient(url).healthz()
+        try:
+            assert entered.wait(timeout=10.0)
+            # Liveness during the burst is the contract under test.
+            health = SnapshotClient(url).healthz()
+            deadline = time.monotonic() + 10.0
+            while shed == 0:
+                assert time.monotonic() < deadline, "burst never overflowed"
+                time.sleep(0.01)
+        finally:
+            release.set()
         for t in threads:
-            t.join()
+            t.join(timeout=10.0)
+            assert not t.is_alive()
         stats = SnapshotClient(url).stats()
 
     assert health["status"] == "ok"

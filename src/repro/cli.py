@@ -57,6 +57,8 @@ default) prints every table and figure summary.
 from __future__ import annotations
 
 import argparse
+import os
+import signal
 import sys
 import time
 from contextlib import ExitStack, contextmanager
@@ -162,6 +164,37 @@ def _sampling_profiler(args: argparse.Namespace):
                 f"{profiler.hz:g} Hz) written to {path}",
                 file=sys.stderr,
             )
+
+
+def _announce_and_wait(banner: str) -> None:
+    """Print the readiness banner, then block until the process gets SIGINT.
+
+    SIGINT is caught from before the banner is printed, so a caller may
+    signal the moment it reads the banner.  Python runs signal handlers
+    on the main thread, but the kernel may deliver a process-directed
+    signal to any thread, and a main thread asleep in ``time.sleep``
+    then sleeps on.  Whichever thread takes the signal writes its number
+    to the wakeup fd, so reading that fd wakes the main thread either
+    way.  An inherited ``SIG_IGN`` (background jobs of a non-interactive
+    shell) is left in force.
+    """
+    previous = signal.getsignal(signal.SIGINT)
+    read_fd, write_fd = os.pipe()
+    os.set_blocking(write_fd, False)
+    previous_fd = signal.set_wakeup_fd(write_fd, warn_on_full_buffer=False)
+    if previous is not signal.SIG_IGN:
+        # Replaces the KeyboardInterrupt handler, which would otherwise
+        # raise on the main thread wherever it happens to be next.
+        signal.signal(signal.SIGINT, lambda signum, frame: None)
+    try:
+        print(banner, flush=True)
+        while signal.SIGINT not in os.read(read_fd, 64):
+            pass
+    finally:
+        signal.signal(signal.SIGINT, previous)
+        signal.set_wakeup_fd(previous_fd)
+        os.close(read_fd)
+        os.close(write_fd)
 
 
 def _render(name: str, result: PipelineResult, mapper: str) -> str:
@@ -554,12 +587,6 @@ def _serve_main(argv: list[str]) -> int:
         "--max-batch", type=int, default=512, help="micro-batch flush size"
     )
     parser.add_argument(
-        "--batch-window-ms",
-        type=float,
-        default=2.0,
-        help="micro-batch coalescing window (latency cost of batching)",
-    )
-    parser.add_argument(
         "--sidecar",
         default=None,
         metavar="PATH",
@@ -625,7 +652,6 @@ def _serve_main(argv: list[str]) -> int:
             max_inflight=args.max_inflight,
             max_pending=args.max_pending,
             max_batch=args.max_batch,
-            batch_window_s=args.batch_window_ms / 1e3,
             tracer=tracer,
             bus=bus,
             trace_sampler=sampler,
@@ -634,18 +660,14 @@ def _serve_main(argv: list[str]) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     server.start()
-    # Parsed by scripts/serve_smoke.py — keep the line format stable.
-    print(f"serving {dataset.label!r} on {server.url}", flush=True)
     log.info(
         "server started",
         extra={"url": server.url, "snapshot_hash": index.snapshot_hash},
     )
     try:
         with _sampling_profiler(args):
-            while True:
-                time.sleep(3600)
-    except KeyboardInterrupt:
-        pass
+            # Parsed by scripts/serve_smoke.py — keep the line format stable.
+            _announce_and_wait(f"serving {dataset.label!r} on {server.url}")
     finally:
         server.stop()
         stats = server.stats()
@@ -836,17 +858,12 @@ def _cluster_serve_main(argv: list[str]) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     coordinator.start()
-    print(
-        f"cluster coordinator on {coordinator.url} "
-        f"({args.ranges} ranges x {args.replicas} replicas, "
-        f"snapshot {routing.snapshot_hash[:12]})",
-        flush=True,
-    )
     try:
-        while True:
-            time.sleep(3600)
-    except KeyboardInterrupt:
-        pass
+        _announce_and_wait(
+            f"cluster coordinator on {coordinator.url} "
+            f"({args.ranges} ranges x {args.replicas} replicas, "
+            f"snapshot {routing.snapshot_hash[:12]})"
+        )
     finally:
         coordinator.stop()
         manager.stop_all()
@@ -855,8 +872,6 @@ def _cluster_serve_main(argv: list[str]) -> int:
 
 def _cluster_shard_main(argv: list[str]) -> int:
     """One shard worker process (spawned by ``cluster serve``)."""
-    import os
-
     from repro.cluster import ShardRange, ShardServer
 
     parser = argparse.ArgumentParser(
@@ -894,17 +909,12 @@ def _cluster_shard_main(argv: list[str]) -> int:
         return 1
     server.start()
     rng = ShardRange(args.lo, args.hi)
-    # Parsed by ShardManager (BANNER_RE) — keep the format stable.
-    print(
-        f"shard pid={os.getpid()} gen={args.gen} range={rng.label()} "
-        f"on {server.url}",
-        flush=True,
-    )
     try:
-        while True:
-            time.sleep(3600)
-    except KeyboardInterrupt:
-        pass
+        # Parsed by ShardManager (BANNER_RE) — keep the format stable.
+        _announce_and_wait(
+            f"shard pid={os.getpid()} gen={args.gen} range={rng.label()} "
+            f"on {server.url}"
+        )
     finally:
         server.stop()
     return 0

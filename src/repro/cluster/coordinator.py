@@ -6,9 +6,10 @@ same status codes, same error messages — by routing and merging:
 
 - ``/locate`` — binary search over the routing table's range bounds
   picks the one owning shard; point lookups flow through the
-  coordinator's own :class:`MicroBatcher` so concurrent misses coalesce
-  into per-shard ``/internal/locate-lines`` batches whose pre-encoded
-  JSON lines are spliced straight into responses.
+  coordinator's own :class:`MicroBatcher` (flush when idle) so misses
+  that pile up during a flush coalesce into per-shard
+  ``/internal/locate-lines`` batches whose pre-encoded JSON lines are
+  spliced straight into responses.
 - ``/near`` — scatter to every range, merge by ``(miles, address)``
   (the index's own tie-break, so the merged order equals the
   single-process order), truncate to ``k``/``limit``.
@@ -18,6 +19,9 @@ same status codes, same error messages — by routing and merging:
   integer histograms sum exactly to the single-process counts and the
   shared payload builder re-emits identical JSON.
 
+A request that needs several ranges sends every leg but the last to
+the fan-out pool and asks the last from its own thread, so a one-range
+request (a single-address miss, most batches) takes no pool hop.
 Every shard request is pinned to the routing *generation* it was
 planned against (``?_gen=``) and carries the coordinator's trace id in
 the ``X-Repro-Trace`` header.  Failures fail over between replicas with
@@ -33,7 +37,7 @@ from __future__ import annotations
 import json
 import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import Future, ThreadPoolExecutor
 from pathlib import Path
 from urllib.parse import quote
 
@@ -150,7 +154,6 @@ class ClusterCoordinator:
         max_inflight: int = 64,
         max_pending: int = 4096,
         max_batch: int = 512,
-        batch_window_s: float = 0.002,
         retry_after_s: int = 1,
         shard_timeout_s: float = 5.0,
         hedge_delay_s: float = 0.05,
@@ -179,7 +182,6 @@ class ClusterCoordinator:
         self.batcher = MicroBatcher(
             self._locate_lines_batch,
             max_batch=max_batch,
-            max_wait_s=batch_window_s,
             max_pending=max_pending,
         )
         self._max_inflight = max_inflight
@@ -486,19 +488,18 @@ class ClusterCoordinator:
         groups: dict[int, list[int]] = {}
         for position, owner in enumerate(owners):
             groups.setdefault(int(owner), []).append(position)
-        futures = {}
+        legs = []
         for owner, positions in groups.items():
             joined = ",".join(str(addresses[p]) for p in positions)
             target = (
                 f"/internal/locate-lines?addresses={joined}"
                 f"&_gen={routing.gen}"
             )
-            futures[owner] = self._fan_pool.submit(
-                self._range_request, routing, owner, target, trace_id
-            )
+            legs.append((owner, target))
+        futures = self._ask_ranges(routing, legs, trace_id)
         lines: list[bytes] = [b""] * len(addresses)
-        for owner, positions in groups.items():
-            status, body = futures[owner].result()
+        for future, (owner, positions) in zip(futures, groups.items()):
+            status, body = future.result()
             if status != 200:
                 raise ShardUnavailable(
                     f"locate fan-out to range {owner} answered {status}"
@@ -528,17 +529,39 @@ class ClusterCoordinator:
             metrics=self.metrics,
         )
 
-    def _fan_all(
-        self, routing: Routing, target: str, trace_id: str
-    ) -> list[tuple[int, bytes]]:
-        """The same pinned target against every shard range, concurrently."""
+    def _ask_ranges(
+        self, routing: Routing, legs: list[tuple[int, str]], trace_id: str
+    ) -> list[Future[tuple[int, bytes]]]:
+        """Ask each ``(range, target)`` leg concurrently; one future per leg.
+
+        Every leg but the last runs on the fan-out pool; the last runs
+        on the calling thread, which would otherwise only wait.  Its
+        outcome is held in a future like the others, so callers that
+        read the futures in order see errors in leg order.
+        """
         futures = [
             self._fan_pool.submit(
                 self._range_request, routing, owner, target, trace_id
             )
-            for owner in range(len(routing.ranges))
+            for owner, target in legs[:-1]
         ]
-        return [future.result() for future in futures]
+        owner, target = legs[-1]
+        own: Future[tuple[int, bytes]] = Future()
+        try:
+            own.set_result(
+                self._range_request(routing, owner, target, trace_id)
+            )
+        except Exception as exc:  # raised when read, after earlier legs
+            own.set_exception(exc)
+        futures.append(own)
+        return futures
+
+    def _fan_all(
+        self, routing: Routing, target: str, trace_id: str
+    ) -> list[tuple[int, bytes]]:
+        """The same pinned target against every shard range, concurrently."""
+        legs = [(owner, target) for owner in range(len(routing.ranges))]
+        return [f.result() for f in self._ask_ranges(routing, legs, trace_id)]
 
     @staticmethod
     def _pinned(path: str, raw_query: str, gen: int) -> str:

@@ -59,7 +59,6 @@ class ShardServer(SnapshotServer):
         gen: int = 1,
         cell_arcmin: float = DEFAULT_CELL_ARCMIN,
         max_batch: int = 512,
-        batch_window_s: float = 0.002,
         max_pending: int = 4096,
         sidecar_dir: str | Path | None = None,
         **server_kw,
@@ -74,13 +73,11 @@ class ShardServer(SnapshotServer):
         super().__init__(
             index,
             max_batch=max_batch,
-            batch_window_s=batch_window_s,
             max_pending=max_pending,
             **server_kw,
         )
         self._batcher_conf = {
             "max_batch": max_batch,
-            "max_wait_s": batch_window_s,
             "max_pending": max_pending,
         }
         self._gen_lock = threading.Lock()  # serialises writers only

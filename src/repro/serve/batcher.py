@@ -1,12 +1,15 @@
 """Micro-batching of concurrent point lookups.
 
 Every ``/locate`` cache miss lands here: request threads enqueue an
-address and block on a future; one flusher thread drains the queue —
-waiting up to a small window for concurrent requests to pile in — and
-resolves the whole batch through a single vectorised
-``SnapshotIndex.locate_many`` call.  Repeated addresses within one
-flush are computed once (the batch is deduplicated before compute) and
-every waiter for the same address receives that one result.
+address and block on a future; one flusher thread drains the queue and
+resolves each batch through a single vectorised
+``SnapshotIndex.locate_many`` call.  The flusher flushes when idle: it
+takes whatever is pending (up to ``max_batch``) the moment it wakes, so
+a lone miss waits for no one, and requests that arrive while a flush
+computes form the next batch, so concurrent misses still coalesce under
+load.  Repeated addresses within one flush are computed once (the batch
+is deduplicated before compute) and every waiter for the same address
+receives that one result.
 
 The pending queue is bounded: when it is full, :meth:`submit` raises
 :class:`OverloadError` immediately rather than queueing without bound —
@@ -17,7 +20,6 @@ collapse).
 from __future__ import annotations
 
 import threading
-import time
 from concurrent.futures import Future
 from typing import Any, Callable, Sequence
 
@@ -32,23 +34,20 @@ class MicroBatcher:
         compute: Callable[[Sequence[int]], list[Any]],
         *,
         max_batch: int = 512,
-        max_wait_s: float = 0.002,
         max_pending: int = 4096,
     ) -> None:
         """Args:
         compute: batch function; receives **deduplicated** keys and
             must return one result per key, in order.
-        max_batch: flush as soon as this many requests are pending.
-        max_wait_s: flush at latest this long after the first request
-            of a batch arrived (the latency cost of batching).
+        max_batch: most requests one flush takes; the rest wait for
+            the next flush.
         max_pending: bound on queued requests; beyond it
             :meth:`submit` sheds with :class:`OverloadError`.
         """
-        if max_batch < 1 or max_pending < 1 or max_wait_s < 0:
+        if max_batch < 1 or max_pending < 1:
             raise ServeError("invalid micro-batcher configuration")
         self._compute = compute
         self._max_batch = max_batch
-        self._max_wait_s = max_wait_s
         self._max_pending = max_pending
         self._pending: list[tuple[int, Future]] = []
         self._cond = threading.Condition()
@@ -68,7 +67,7 @@ class MicroBatcher:
             return len(self._pending)
 
     def submit(self, key: int) -> "Future[Any]":
-        """Enqueue one key; the future resolves at the next flush.
+        """Enqueue one key; the future resolves when its flush computes.
 
         Raises:
             OverloadError: when the pending queue is full.
@@ -115,18 +114,10 @@ class MicroBatcher:
             with self._cond:
                 while not self._pending and not self._closed:
                     self._cond.wait()
-                if not self._pending and self._closed:
+                if not self._pending:  # closed and drained
                     return
-                # Batch window: give concurrent requests a moment to
-                # coalesce, but never sit on a full batch.
-                deadline = time.perf_counter() + self._max_wait_s
-                while (
-                    len(self._pending) < self._max_batch and not self._closed
-                ):
-                    remaining = deadline - time.perf_counter()
-                    if remaining <= 0 or not self._cond.wait(remaining):
-                        break
-                batch, self._pending = self._pending, []
+                batch = self._pending[: self._max_batch]
+                del self._pending[: self._max_batch]
             self._flush(batch)
 
     def _flush(self, batch: list[tuple[int, Future]]) -> None:

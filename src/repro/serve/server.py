@@ -21,9 +21,10 @@ collapsing under pressure:
 
 - **response cache** — an LRU keyed on ``(request target, snapshot
   hash)`` serves repeated queries without touching the index;
-- **micro-batching** — concurrent ``/locate`` cache misses coalesce
-  into one vectorised ``locate_many`` flush
-  (:mod:`repro.serve.batcher`);
+- **micro-batching** — ``/locate`` cache misses go to one flusher
+  that flushes when idle: a lone miss is looked up at once, and misses
+  arriving while a flush computes coalesce into the next vectorised
+  ``locate_many`` flush (:mod:`repro.serve.batcher`);
 - **backpressure** — both the in-flight request count and the batcher
   queue are bounded; beyond either bound the server sheds with
   ``503`` + ``Retry-After`` while ``/healthz`` keeps answering.
@@ -32,7 +33,9 @@ HTTP handling is a deliberately minimal HTTP/1.1 subset over
 ``socketserver.ThreadingTCPServer`` (GET only, keep-alive, explicit
 ``Content-Length``) — ``BaseHTTPRequestHandler``'s header parsing costs
 more than the queries themselves at the request rates the benchmark
-drives.
+drives.  Accepted sockets set ``TCP_NODELAY``: each response is one
+write, and Nagle would hold it back until the client acknowledges the
+previous one.  The coordinator and the shards share this front end.
 
 Instrumentation goes through :mod:`repro.obs`: per-endpoint request
 counters and latency histograms, shed counters, cache hit/miss
@@ -113,7 +116,6 @@ class SnapshotServer:
         max_inflight: int = 64,
         max_pending: int = 4096,
         max_batch: int = 512,
-        batch_window_s: float = 0.002,
         retry_after_s: int = 1,
         metrics: MetricsRegistry | None = None,
         tracer: Tracer | None = None,
@@ -131,7 +133,6 @@ class SnapshotServer:
         self.batcher = MicroBatcher(
             index.locate_many,
             max_batch=max_batch,
-            max_wait_s=batch_window_s,
             max_pending=max_pending,
         )
         self._max_inflight = max_inflight
@@ -379,7 +380,7 @@ class SnapshotServer:
         if "address" not in params:
             raise ServeError("locate requires ?address=N (or ?addresses=a,b)")
         address = _int_param(params["address"], "address")
-        # Cache miss path: coalesce with concurrent misses in one flush.
+        # Cache miss path: coalesce with misses that pile up meanwhile.
         future = batcher.submit(address)
         self.metrics.gauge("serve.queue_depth").set(batcher.queue_depth)
         record = future.result()
@@ -494,6 +495,7 @@ class _Handler(socketserver.StreamRequestHandler):
 
     timeout = 60
     wbufsize = -1  # fully buffered writes; one flush per response
+    disable_nagle_algorithm = True  # that one write goes out at once
 
     def handle(self) -> None:
         app = self.server.app  # type: ignore[attr-defined]

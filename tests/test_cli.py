@@ -1,10 +1,17 @@
 """Tests for the repro.cli experiment driver."""
 
 import json
+import os
+import signal
+import subprocess
+import sys
+import threading
+import time
+from pathlib import Path
 
 import pytest
 
-from repro.cli import EXIT_DIFF, EXIT_INVALID, EXIT_OK, main
+from repro.cli import EXIT_DIFF, EXIT_INVALID, EXIT_OK, _announce_and_wait, main
 from repro.obs import load_report, validate_report
 
 
@@ -284,3 +291,81 @@ class TestTelemetryCli:
         code = main(["bench", "history", str(tmp_path)])
         assert code == EXIT_INVALID
         assert "error:" in capsys.readouterr().err
+
+
+class TestStopOnSigint:
+    """Long-running commands stop on one SIGINT, whichever thread takes it."""
+
+    def test_wait_wakes_when_a_worker_thread_takes_the_signal(self, capsys):
+        previous = signal.signal(signal.SIGINT, signal.default_int_handler)
+        main_thread = threading.get_ident()
+        # Thread-directed at a worker: the main thread never sees it.
+        worker = threading.Timer(
+            0.2, lambda: signal.pthread_kill(threading.get_ident(), signal.SIGINT)
+        )
+        # Should the wait miss the worker's signal, this one ends it.
+        watchdog = threading.Timer(
+            5.0, signal.pthread_kill, (main_thread, signal.SIGINT)
+        )
+        try:
+            worker.start()
+            watchdog.start()
+            start = time.monotonic()
+            _announce_and_wait("ready")
+            elapsed = time.monotonic() - start
+        finally:
+            worker.cancel()
+            watchdog.cancel()
+            signal.signal(signal.SIGINT, previous)
+        assert elapsed < 4.0, "woke only on the watchdog's signal"
+        assert signal.getsignal(signal.SIGINT) is previous
+        assert capsys.readouterr().out == "ready\n"
+
+    def test_cluster_serve_exits_zero_on_one_sigint(
+        self, pipeline_small, tmp_path
+    ):
+        from repro.datasets.serialize import save_dataset
+
+        snapshot = tmp_path / "snapshot.npz"
+        save_dataset(pipeline_small.dataset("IxMapper", "Skitter"), snapshot)
+        # The child restores the default SIGINT handler itself, in case
+        # this test runs with SIGINT ignored (a background job inherits
+        # SIG_IGN, which the program deliberately leaves in force).
+        launcher = (
+            "import signal, sys\n"
+            "signal.signal(signal.SIGINT, signal.default_int_handler)\n"
+            "from repro.cli import main\n"
+            "sys.exit(main(sys.argv[1:]))\n"
+        )
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
+        )
+        command = [
+            sys.executable, "-c", launcher, "cluster", "serve",
+            "--snapshot", str(snapshot), "--ranges", "1", "--replicas", "1",
+            "--port", "0",
+        ]
+        for attempt in range(5):
+            proc = subprocess.Popen(
+                command,
+                stdout=subprocess.PIPE,
+                stderr=subprocess.STDOUT,
+                text=True,
+                env=env,
+                start_new_session=True,  # so a failure can reap the shards
+            )
+            try:
+                for line in proc.stdout:
+                    if line.startswith("cluster coordinator on"):
+                        break
+                else:
+                    pytest.fail(f"cluster serve exited {proc.wait()}")
+                proc.send_signal(signal.SIGINT)
+                out, _ = proc.communicate(timeout=5.0)
+            finally:
+                if proc.poll() is None:
+                    os.killpg(proc.pid, signal.SIGKILL)
+                    proc.communicate()
+            assert proc.returncode == 0, f"attempt {attempt}: {out[-2000:]}"

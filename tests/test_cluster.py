@@ -534,6 +534,116 @@ class TestHotReload:
                 shard.stop()
 
 
+class _CountingPool:
+    """A stand-in for the coordinator's fan-out pool that counts legs.
+
+    ``forbid=True`` makes every submission fail the test instead.
+    """
+
+    def __init__(self, real, forbid: bool = False) -> None:
+        self.real = real
+        self.forbid = forbid
+        self.submitted = 0
+
+    def submit(self, fn, *args):
+        if self.forbid:
+            raise AssertionError("fan-out pool used by a one-range request")
+        self.submitted += 1
+        return self.real.submit(fn, *args)
+
+
+class TestCallerRunLeg:
+    def _range_addresses(self, dataset, cluster, owner):
+        owners = range_indices(cluster.routing.ranges, dataset.addresses)
+        return [int(a) for a in dataset.addresses[owners == owner]]
+
+    def test_one_range_requests_skip_the_fan_pool(
+        self, dataset, cluster, single, monkeypatch
+    ):
+        monkeypatch.setattr(
+            cluster, "_fan_pool", _CountingPool(cluster._fan_pool, forbid=True)
+        )
+        for owner in (0, 1):
+            addrs = self._range_addresses(dataset, cluster, owner)[-3:]
+            for target in (
+                f"/locate?address={addrs[0]}",
+                f"/locate?addresses={addrs[1]},{addrs[2]}",
+            ):
+                misses = cluster.cache.stats()["misses"]
+                assert _raw_get(cluster.url, target) == _raw_get(
+                    single.url, target
+                )
+                assert cluster.cache.stats()["misses"] == misses + 1
+
+    def test_multi_range_fan_out_pools_all_legs_but_one(
+        self, dataset, cluster, single, monkeypatch
+    ):
+        pool = _CountingPool(cluster._fan_pool)
+        monkeypatch.setattr(cluster, "_fan_pool", pool)
+        low = self._range_addresses(dataset, cluster, 0)[-4]
+        high = self._range_addresses(dataset, cluster, 1)[-4]
+        for target in (
+            f"/locate?addresses={low},{high}",
+            "/near?lat=41&lon=-99&k=3",
+        ):
+            before = pool.submitted
+            assert _raw_get(cluster.url, target) == _raw_get(
+                single.url, target
+            )
+            assert pool.submitted == before + 1
+
+    def test_errors_keep_range_order(self, dataset, snapshot_path):
+        """Range 0 sheds, range 1 is down: the earlier leg's error wins."""
+        ranges = partition_bounds(dataset.addresses, 2)
+        shard = ShardServer(
+            snapshot_path, ranges[0].addr_lo, ranges[0].addr_hi, port=0
+        )
+        shard.start()
+        # Routing generation 5 is not staged on the shard (it holds 1),
+        # so every pinned leg to range 0 answers 503: shedding.
+        routing = Routing(
+            5,
+            ranges,
+            [
+                ReplicaSet([ShardClient(shard.url)]),
+                ReplicaSet([ShardClient(f"http://127.0.0.1:{_free_port()}")]),
+            ],
+            shard.index.snapshot_hash,
+        )
+        coordinator = ClusterCoordinator(
+            routing, port=0, health_interval_s=60.0
+        )
+        coordinator.start()
+        try:
+            owners = range_indices(ranges, dataset.addresses)
+            low = int(dataset.addresses[owners == 0][0])
+            high = int(dataset.addresses[owners == 1][0])
+            shed_body = _raw_get(
+                shard.url, f"/internal/locate-lines?addresses={low}&_gen=5"
+            )[1]
+            assert b"generation 5 is not staged" in shed_body
+            # Legs are ordered by range for fan-outs and by first
+            # appearance for batched lookups.
+            for target in (
+                "/near?lat=40&lon=-100&k=5",
+                f"/locate?addresses={low},{high}",
+                f"/locate?address={low}",
+            ):
+                assert _raw_get(coordinator.url, target) == (503, shed_body)
+            for target in (
+                f"/locate?addresses={high},{low}",
+                f"/locate?address={high}",
+            ):
+                status, body = _raw_get(coordinator.url, target)
+                assert status == 503
+                payload = json.loads(body)
+                assert payload["error"].startswith("shard range unavailable")
+                assert payload["retry_after_s"] == 1
+        finally:
+            coordinator.stop()
+            shard.stop()
+
+
 class TestMergeExpositions:
     def test_sums_matching_series(self):
         merged = merge_expositions(

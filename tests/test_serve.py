@@ -7,6 +7,7 @@ the cache, micro-batching, and backpressure contracts.
 
 from __future__ import annotations
 
+import socket
 import threading
 import time
 import urllib.error
@@ -31,6 +32,7 @@ from repro.serve import (
     SnapshotServer,
     call_with_retries,
 )
+from repro.serve.server import _Handler
 
 
 @pytest.fixture(scope="module")
@@ -204,7 +206,7 @@ class TestMicroBatcher:
         def compute(keys):
             return [k * 10 for k in keys]
 
-        batcher = MicroBatcher(compute, max_wait_s=0.005)
+        batcher = MicroBatcher(compute)
         try:
             futures = {}
             threads = []
@@ -223,27 +225,86 @@ class TestMicroBatcher:
         finally:
             batcher.close()
 
-    def test_flush_deduplicates(self):
-        calls: list[list[int]] = []
-        release = threading.Event()
+    @staticmethod
+    def _gated_batcher(calls: list[list[int]], **kw):
+        """A batcher whose flushes block until ``release`` is set.
+
+        Submitting the gate key 0 and waiting for ``entered`` parks the
+        flusher inside a compute; everything submitted after that is
+        pending together when the gate opens.
+        """
+        entered, release = threading.Event(), threading.Event()
 
         def compute(keys):
+            entered.set()
             release.wait(timeout=5.0)
             calls.append(list(keys))
             return [k + 1 for k in keys]
 
-        # A long window so all submissions land in one flush.
-        batcher = MicroBatcher(compute, max_wait_s=0.2)
+        return MicroBatcher(compute, **kw), entered, release
+
+    def test_flush_deduplicates(self):
+        calls: list[list[int]] = []
+        batcher, entered, release = self._gated_batcher(calls)
         try:
+            gate = batcher.submit(0)
+            assert entered.wait(timeout=5.0)
             futures = [batcher.submit(k) for k in (5, 5, 8, 5)]
             release.set()
+            assert gate.result(timeout=5.0) == 1
             assert [f.result(timeout=5.0) for f in futures] == [6, 6, 9, 6]
-            flat = [k for call in calls for k in call]
+            flat = [k for call in calls[1:] for k in call]
             assert sorted(set(flat)) == [5, 8]
             assert len(flat) == len(set(flat))  # no key computed twice
             stats = batcher.stats()
-            assert stats["requests"] == 4
+            assert stats["requests"] == 5  # the gate key plus four
             assert stats["dedup_saved"] == 2
+        finally:
+            release.set()
+            batcher.close()
+
+    def test_keys_pending_during_a_flush_go_out_in_the_next_one(self):
+        calls: list[list[int]] = []
+        batcher, entered, release = self._gated_batcher(calls)
+        try:
+            batcher.submit(0)
+            assert entered.wait(timeout=5.0)
+            futures = [batcher.submit(k) for k in (7, 3, 7, 9, 3)]
+            assert batcher.queue_depth == 5
+            release.set()
+            assert [f.result(timeout=5.0) for f in futures] == [8, 4, 8, 10, 4]
+            assert calls == [[0], [7, 3, 9]]  # one flush, deduplicated
+            stats = batcher.stats()
+            assert stats["flushes"] == 2 and stats["dedup_saved"] == 2
+        finally:
+            release.set()
+            batcher.close()
+
+    def test_flush_takes_at_most_max_batch(self):
+        calls: list[list[int]] = []
+        batcher, entered, release = self._gated_batcher(calls, max_batch=2)
+        try:
+            batcher.submit(0)
+            assert entered.wait(timeout=5.0)
+            futures = [batcher.submit(k) for k in (1, 2, 3, 4, 5)]
+            release.set()
+            assert [f.result(timeout=5.0) for f in futures] == [2, 3, 4, 5, 6]
+            assert calls == [[0], [1, 2], [3, 4], [5]]
+        finally:
+            release.set()
+            batcher.close()
+
+    def test_lone_submissions_do_not_wait_for_company(self):
+        batcher = MicroBatcher(lambda keys: [k * 3 for k in keys])
+        try:
+            batcher.submit(0).result(timeout=5.0)  # flusher warmed up
+            start = time.perf_counter()
+            for k in range(50):
+                assert batcher.submit(k).result(timeout=5.0) == k * 3
+            elapsed = time.perf_counter() - start
+            # Flush when idle: 50 round trips cost thread hand-offs only.
+            assert elapsed < 0.05, f"50 lone round trips took {elapsed:.3f}s"
+            assert batcher.stats()["mean_batch"] == 1.0
         finally:
             batcher.close()
 
@@ -254,7 +315,7 @@ class TestMicroBatcher:
             blocker.wait(timeout=5.0)
             return [0 for _ in keys]
 
-        batcher = MicroBatcher(compute, max_pending=2, max_wait_s=0.0)
+        batcher = MicroBatcher(compute, max_pending=2)
         try:
             # Fill the queue while the flusher is blocked in compute.
             batcher.submit(1)
@@ -271,7 +332,7 @@ class TestMicroBatcher:
         def compute(keys):
             raise RuntimeError("boom")
 
-        batcher = MicroBatcher(compute, max_wait_s=0.0)
+        batcher = MicroBatcher(compute)
         try:
             future = batcher.submit(1)
             with pytest.raises(RuntimeError):
@@ -371,22 +432,29 @@ class TestServerEndToEnd:
 
 
 class TestBackpressure:
-    def test_burst_sheds_while_healthz_answers(self, index, dataset):
-        # A deliberately tiny server: one admitted request at a time and
-        # a long batch window, so a concurrent burst must overflow.
+    def test_burst_sheds_while_healthz_answers(
+        self, index, dataset, monkeypatch
+    ):
+        # A deliberately tiny server: one admitted request at a time,
+        # held inside the lookup until the rest of the burst has been
+        # answered, so the burst must overflow.
+        addresses = [int(a) for a in dataset.addresses[:24]]
+        outcomes: list[str] = []
+        lock = threading.Lock()
+        entered, release = threading.Event(), threading.Event()
+        locate_many = index.locate_many
+
+        def gated_locate_many(keys):
+            entered.set()
+            release.wait(timeout=10.0)
+            return locate_many(keys)
+
+        monkeypatch.setattr(index, "locate_many", gated_locate_many)
         server = SnapshotServer(
-            index,
-            port=0,
-            max_inflight=1,
-            max_pending=1,
-            batch_window_s=0.2,
-            cache_size=1,
+            index, port=0, max_inflight=1, max_pending=1, cache_size=1
         )
         with server:
             client = SnapshotClient(server.url, max_retries=0)
-            addresses = [int(a) for a in dataset.addresses[:24]]
-            outcomes: list[str] = []
-            lock = threading.Lock()
 
             def fire(address):
                 c = SnapshotClient(server.url, max_retries=0)
@@ -405,10 +473,19 @@ class TestBackpressure:
             ]
             for t in threads:
                 t.start()
-            # While the burst is in flight, liveness must keep answering.
-            assert client.healthz()["status"] == "ok"
+            try:
+                assert entered.wait(timeout=10.0)
+                # While the burst is in flight, liveness must keep answering.
+                assert client.healthz()["status"] == "ok"
+                deadline = time.monotonic() + 10.0
+                while len(outcomes) < len(addresses) - 1:
+                    assert time.monotonic() < deadline, "burst never overflowed"
+                    time.sleep(0.01)
+            finally:
+                release.set()
             for t in threads:
-                t.join()
+                t.join(timeout=10.0)
+                assert not t.is_alive()
             assert "shed" in outcomes  # some requests were 503ed
             assert "ok" in outcomes  # ...but the service did real work
             stats = client.stats()
@@ -506,6 +583,22 @@ class TestRingSearchEdges:
         assert any(value < 0 for value in lons)
 
 
+class TestTransport:
+    def test_accepted_sockets_disable_nagle(self, server, monkeypatch):
+        seen: list[int] = []
+        handle = _Handler.handle
+
+        def recording_handle(self):
+            seen.append(
+                self.connection.getsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY)
+            )
+            handle(self)
+
+        monkeypatch.setattr(_Handler, "handle", recording_handle)
+        assert SnapshotClient(server.url).healthz()["status"] == "ok"
+        assert seen and all(seen)
+
+
 class TestBatcherShutdownFlush:
     def test_queued_submissions_resolve_through_close(self):
         release = threading.Event()
@@ -516,7 +609,7 @@ class TestBatcherShutdownFlush:
             release.wait(timeout=5.0)
             return [k * 2 for k in keys]
 
-        batcher = MicroBatcher(compute, max_batch=1, max_wait_s=0.0)
+        batcher = MicroBatcher(compute, max_batch=1)
         first = batcher.submit(1)
         assert entered.wait(timeout=5.0)  # flusher is busy with key 1
         queued = [batcher.submit(k) for k in (2, 3, 4)]
