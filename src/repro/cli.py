@@ -857,6 +857,9 @@ def _cluster_serve_main(argv: list[str]) -> int:
         manager.stop_all()
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except BaseException:  # SIGINT while the fleet starts, say
+        manager.stop_all()
+        raise
     coordinator.start()
     try:
         _announce_and_wait(

@@ -20,15 +20,26 @@ Three layers, bottom up:
 the next healthy replica, *hedge* to a second one when the first is
 slow, fail over sequentially on errors, and treat a ``503`` (shard
 shedding load) as retry-elsewhere-but-don't-eject.
+
+Work leaves the calling thread only to be hedged.  The first try (and
+a failover after every earlier try failed) is sent from the caller,
+which then waits up to the hedge delay for the reply to start
+(:class:`Exchange` splits a round trip into send and read for this).
+A reply that starts in time is read inline; a slower exchange is
+handed, still in flight, to the replica pool, and the hedge and any
+later tries run there too.
 """
 
 from __future__ import annotations
 
+import functools
 import json
+import select
 import socket
 import threading
 import time
 from concurrent.futures import FIRST_COMPLETED, Executor, wait
+from typing import Callable
 from urllib.parse import urlsplit
 
 from repro.errors import ServeError
@@ -147,62 +158,135 @@ class ShardClient:
         trace_id: str = "",
         timeout_s: float | None = None,
         bypass_blackout: bool = False,
-    ) -> tuple[int, bytes]:
+        wait_s: float | None = None,
+    ) -> tuple[int, bytes] | Exchange:
         """One GET round trip; returns ``(status, body)``.
 
-        A request that fails on a *reused* connection is retried once on
-        a fresh dial — the ordinary keep-alive race where the server
-        closed an idle connection between our requests.
+        With ``wait_s``, a reply that has not started within that long
+        is left in flight: the :class:`Exchange` is returned instead,
+        and its :meth:`~Exchange.finish` completes the round trip on
+        whichever thread calls it.
 
         Raises:
             ShardUnavailable: when the replica cannot be reached or the
                 connection breaks mid-exchange.
         """
         timeout = self.timeout_s if timeout_s is None else timeout_s
-        conn, reused = self._checkout(timeout, bypass_blackout)
-        try:
-            status, body, keep = self._roundtrip(conn, target, trace_id, timeout)
-        except (OSError, ConnectionError, ShardUnavailable) as exc:
-            self._close(conn)
-            if not reused:
-                if isinstance(exc, ShardUnavailable):
-                    raise
-                raise ShardUnavailable(
-                    f"request to {self.url} failed: {exc}"
-                ) from exc
-            conn, _ = self._checkout(timeout, bypass_blackout)
-            try:
-                status, body, keep = self._roundtrip(
-                    conn, target, trace_id, timeout
-                )
-            except (OSError, ConnectionError) as retry_exc:
-                self._close(conn)
-                raise ShardUnavailable(
-                    f"request to {self.url} failed: {retry_exc}"
-                ) from retry_exc
-        if keep:
-            self._checkin(conn)
-        else:
-            self._close(conn)
-        return status, body
+        exchange = Exchange(self, target, trace_id, timeout, bypass_blackout)
+        if wait_s is not None and not exchange.started(wait_s):
+            return exchange
+        return exchange.finish()
 
-    def _roundtrip(
+    def probe(self, timeout_s: float = 1.0) -> dict | None:
+        """``/healthz`` payload, or None when unreachable.
+
+        Bypasses the dial blackout — the health checker is exactly the
+        caller that must notice a replica coming back.
+        """
+        try:
+            status, body = self.get(
+                "/healthz", timeout_s=timeout_s, bypass_blackout=True
+            )
+            if status != 200:
+                return None
+            return json.loads(body)
+        except (ShardUnavailable, json.JSONDecodeError):
+            return None
+
+
+class Exchange:
+    """One GET to one replica, sent on construction and read by
+    :meth:`finish` — on the sending thread or on another one.
+
+    A failure on a *reused* pooled connection is retried once on a
+    fresh checkout: the ordinary keep-alive race where the server closed
+    an idle connection between our requests.
+    """
+
+    def __init__(
         self,
-        conn: tuple[socket.socket, object],
+        client: ShardClient,
         target: str,
         trace_id: str,
         timeout_s: float,
-    ) -> tuple[int, bytes, bool]:
-        sock, rfile = conn
-        sock.settimeout(timeout_s)
-        head = (
-            f"GET {target} HTTP/1.1\r\n"
-            f"Host: {self.host}:{self.port}\r\n"
-        )
+        bypass_blackout: bool,
+    ) -> None:
+        self._client = client
+        self._timeout_s = timeout_s
+        self._bypass_blackout = bypass_blackout
+        head = f"GET {target} HTTP/1.1\r\nHost: {client.host}:{client.port}\r\n"
         if trace_id:
             head += f"{TRACE_HEADER}: {trace_id}\r\n"
-        head += "\r\n"
-        sock.sendall(head.encode("latin-1"))
+        self._request = (head + "\r\n").encode("latin-1")
+        self._conn, self._reused = client._checkout(timeout_s, bypass_blackout)
+        self._send()
+
+    def _send(self) -> None:
+        sock = self._conn[0]
+        try:
+            sock.settimeout(self._timeout_s)
+            sock.sendall(self._request)
+        except OSError as exc:
+            self._fail(exc)
+
+    def _fail(self, exc: OSError) -> None:
+        """Drop the broken connection; resend on another if it was reused."""
+        self._client._close(self._conn)
+        if not self._reused:
+            raise ShardUnavailable(
+                f"request to {self._client.url} failed: {exc}"
+            ) from exc
+        self._conn, _ = self._client._checkout(
+            self._timeout_s, self._bypass_blackout
+        )
+        self._reused = False
+        self._send()
+
+    def started(self, wait_s: float) -> bool:
+        """Whether the reply starts arriving within ``wait_s``.
+
+        A reused connection the server has closed reads as end-of-file;
+        it is replaced (and the request resent) within the same wait.
+        """
+        deadline = time.monotonic() + wait_s
+        while True:
+            sock = self._conn[0]
+            poller = select.poll()  # unlike select(), no fd-number limit
+            poller.register(sock, select.POLLIN)
+            if not poller.poll(max(0.0, deadline - time.monotonic()) * 1e3):
+                return False
+            if not self._reused:
+                return True
+            try:
+                if sock.recv(1, socket.MSG_PEEK):
+                    return True
+                closed: OSError = ConnectionError(
+                    "connection closed before response"
+                )
+            except OSError as exc:
+                closed = exc
+            self._fail(closed)
+
+    def finish(self) -> tuple[int, bytes]:
+        """Read the reply; pool the connection when it stays open.
+
+        Raises:
+            ShardUnavailable: when the connection breaks mid-exchange.
+        """
+        while True:
+            try:
+                status, body, keep = self._read()
+                break
+            except OSError as exc:
+                self._fail(exc)  # raises unless a reused connection failed
+        if keep:
+            self._client._checkin(self._conn)
+        else:
+            self._client._close(self._conn)
+        return status, body
+
+    def _read(self) -> tuple[int, bytes, bool]:
+        rfile = self._conn[1]
         status_line = rfile.readline(8192)  # type: ignore[attr-defined]
         if not status_line:
             raise ConnectionError("connection closed before response")
@@ -227,22 +311,6 @@ class ShardClient:
         if len(body) != length:
             raise ConnectionError("connection closed mid-body")
         return status, body, keep
-
-    def probe(self, timeout_s: float = 1.0) -> dict | None:
-        """``/healthz`` payload, or None when unreachable.
-
-        Bypasses the dial blackout — the health checker is exactly the
-        caller that must notice a replica coming back.
-        """
-        try:
-            status, body = self.get(
-                "/healthz", timeout_s=timeout_s, bypass_blackout=True
-            )
-            if status != 200:
-                return None
-            return json.loads(body)
-        except (ShardUnavailable, json.JSONDecodeError):
-            return None
 
 
 class ReplicaSet:
@@ -341,21 +409,29 @@ def _try_replica(
     rset: ReplicaSet,
     idx: int,
     client: ShardClient,
-    target: str,
-    trace_id: str,
-    timeout_s: float | None,
-) -> tuple[int, bytes]:
-    start = time.perf_counter()
+    attempt: Callable[[], tuple[int, bytes] | Exchange],
+    start: float | None = None,
+) -> tuple[int, bytes] | Exchange:
+    """``attempt()``, one try against replica ``idx``, accounted on ``rset``.
+
+    A ``503`` (alive but shedding) is raised as :class:`ShardShedding`:
+    retry elsewhere, never eject for load.  An :class:`Exchange` still
+    in flight is returned unaccounted; finishing it through here with
+    the same ``start`` accounts it.
+    """
+    start = time.perf_counter() if start is None else start
     try:
-        status, body = client.get(target, trace_id, timeout_s=timeout_s)
+        reply = attempt()
     except ShardUnavailable:
         rset.record_failure(idx)
         raise
+    if isinstance(reply, Exchange):
+        return reply
     rset.record_success(idx, (time.perf_counter() - start) * 1e3)
+    status, body = reply
     if status == 503:
-        # Alive but shedding: retry elsewhere, never eject for load.
         raise ShardShedding(f"{client.url} is shedding load", body)
-    return status, body
+    return reply
 
 
 def request_with_failover(
@@ -370,10 +446,16 @@ def request_with_failover(
 ) -> tuple[int, bytes]:
     """One logical GET against a replica set.
 
-    Launches the first candidate, hedges to the next after
-    ``hedge_delay_s`` without an answer, and fails over on errors until
-    a replica responds.  The first completed response wins; late
+    Tries the candidates in order, hedging to the next after
+    ``hedge_delay_s`` without an answer and failing over on errors
+    until a replica responds.  The first completed response wins; late
     duplicates are discarded harmlessly.
+
+    A try made while no other is in flight — the first, or a failover
+    after every earlier try failed — runs on the calling thread.  Only
+    a reply that has not started within ``hedge_delay_s`` is handed to
+    ``executor`` (so it can be hedged), and only tries made while one
+    is in flight run there from the start.
 
     Raises:
         ShardUnavailable: when every replica failed (or, with
@@ -381,32 +463,53 @@ def request_with_failover(
             caller relays that 503 body to its own client).
     """
     candidates = iter(rset.candidates())
+    nxt = next(candidates, None)
     pending: set = set()
     errors: list[BaseException] = []
     shed: ShardShedding | None = None
     launched = 0
     while True:
-        nxt = next(candidates, None)
         if nxt is not None:
-            idx, client = nxt
-            pending.add(
-                executor.submit(
-                    _try_replica, rset, idx, client, target, trace_id, timeout_s
-                )
-            )
+            (idx, client), nxt = nxt, next(candidates, None)
             launched += 1
             if launched > 1 and metrics is not None:
                 kind = "hedges" if not errors and shed is None else "failovers"
                 metrics.counter(f"coord.{kind}").add(1)
+            ask = functools.partial(
+                client.get, target, trace_id, timeout_s=timeout_s
+            )
+            if not pending:
+                start = time.perf_counter()
+                wait_s = None if nxt is None else hedge_delay_s
+                try:
+                    reply = _try_replica(
+                        rset, idx, client,
+                        functools.partial(ask, wait_s=wait_s), start,
+                    )
+                except ShardShedding as exc:
+                    shed = exc
+                    continue
+                except ShardUnavailable as exc:
+                    errors.append(exc)
+                    continue
+                if not isinstance(reply, Exchange):
+                    return reply
+                # Slow to start: finish it elsewhere and hedge now.
+                pending.add(
+                    executor.submit(
+                        _try_replica, rset, idx, client, reply.finish, start
+                    )
+                )
+                continue
+            pending.add(executor.submit(_try_replica, rset, idx, client, ask))
         elif not pending:
             if shed is not None:
                 raise shed
             detail = "; ".join(str(e) for e in errors) or "no replicas"
             raise ShardUnavailable(f"shard range unavailable: {detail}")
-        more_candidates = nxt is not None
         done, pending = wait(
             pending,
-            timeout=hedge_delay_s if more_candidates else None,
+            timeout=hedge_delay_s if nxt is not None else None,
             return_when=FIRST_COMPLETED,
         )
         for future in done:

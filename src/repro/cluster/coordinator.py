@@ -6,8 +6,9 @@ same status codes, same error messages — by routing and merging:
 
 - ``/locate`` — binary search over the routing table's range bounds
   picks the one owning shard; point lookups flow through the
-  coordinator's own :class:`MicroBatcher` (flush when idle) so misses
-  that pile up during a flush coalesce into per-shard
+  coordinator's own :class:`MicroBatcher` (a miss flushes on its own
+  thread when no flush is running) so misses that pile up during a
+  flush coalesce into per-shard
   ``/internal/locate-lines`` batches whose pre-encoded JSON lines are
   spliced straight into responses.
 - ``/near`` — scatter to every range, merge by ``(miles, address)``
@@ -19,9 +20,14 @@ same status codes, same error messages — by routing and merging:
   integer histograms sum exactly to the single-process counts and the
   shared payload builder re-emits identical JSON.
 
-A request that needs several ranges sends every leg but the last to
-the fan-out pool and asks the last from its own thread, so a one-range
-request (a single-address miss, most batches) takes no pool hop.
+Work leaves the request thread only where it runs concurrently with
+something the thread does itself.  A lone ``/locate`` miss is flushed,
+routed, sent and read on its own thread.  A request that needs several
+ranges sends every leg but the last to the fan-out pool and asks the
+last itself, so a one-range request (a single-address miss, most
+batches) takes no fan-out hop.  Within a leg, the replica pool sees a
+shard request only when its reply has not started within the hedge
+delay, and then also runs the hedge (:mod:`repro.cluster.client`).
 Every shard request is pinned to the routing *generation* it was
 planned against (``?_gen=``) and carries the coordinator's trace id in
 the ``X-Repro-Trace`` header.  Failures fail over between replicas with
@@ -194,8 +200,8 @@ class ClusterCoordinator:
         self._reload_lock = threading.Lock()
         self._started_unix = time.time()
         # Two pools so range-level fan-out tasks never wait on workers
-        # they themselves occupy: ranges fan on one, replica tries
-        # (including hedges) run on the other.
+        # they themselves occupy: ranges fan on one; replica tries that
+        # are hedged (a slow exchange and its hedges) run on the other.
         self._fan_pool = ThreadPoolExecutor(
             max_workers=fan_workers, thread_name_prefix="coord-fan"
         )

@@ -108,7 +108,7 @@ class ShardManager:
                         pid=int(banner["pid"]),
                     )
                 )
-        except ServeError:
+        except BaseException:  # ServeError, or SIGINT mid-start
             for _, _, _, proc in procs:
                 _terminate(proc)
             self.shards = []

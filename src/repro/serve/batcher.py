@@ -1,15 +1,16 @@
-"""Micro-batching of concurrent point lookups.
+"""Micro-batching of concurrent point lookups, run by the callers.
 
-Every ``/locate`` cache miss lands here: request threads enqueue an
-address and block on a future; one flusher thread drains the queue and
-resolves each batch through a single vectorised
-``SnapshotIndex.locate_many`` call.  The flusher flushes when idle: it
-takes whatever is pending (up to ``max_batch``) the moment it wakes, so
-a lone miss waits for no one, and requests that arrive while a flush
-computes form the next batch, so concurrent misses still coalesce under
-load.  Repeated addresses within one flush are computed once (the batch
-is deduplicated before compute) and every waiter for the same address
-receives that one result.
+Every ``/locate`` cache miss lands here, and the batcher has no thread
+of its own: it is a *group commit*.  A request that finds no flush
+running flushes its own key on its own thread, so a lone miss never
+leaves the calling thread.  Requests that arrive while a flush
+computes wait in :meth:`MicroBatcher.submit`; when that flush ends, one
+of them leads the next flush, taking everything pending (up to
+``max_batch``) through a single vectorised compute such as
+``SnapshotIndex.locate_many``.  Concurrent misses therefore still
+coalesce under load.  Repeated addresses within one flush are computed
+once (the batch is deduplicated before compute) and every waiter for
+the same address receives that one result.
 
 The pending queue is bounded: when it is full, :meth:`submit` raises
 :class:`OverloadError` immediately rather than queueing without bound —
@@ -51,14 +52,12 @@ class MicroBatcher:
         self._max_pending = max_pending
         self._pending: list[tuple[int, Future]] = []
         self._cond = threading.Condition()
+        self._flushing = False
         self._closed = False
         self.flushes = 0
         self.requests = 0
         self.computed_keys = 0
-        self._worker = threading.Thread(
-            target=self._run, name="serve-batcher", daemon=True
-        )
-        self._worker.start()
+        self._flushed_requests = 0
 
     @property
     def queue_depth(self) -> int:
@@ -67,7 +66,13 @@ class MicroBatcher:
             return len(self._pending)
 
     def submit(self, key: int) -> "Future[Any]":
-        """Enqueue one key; the future resolves when its flush computes.
+        """Look one key up; returns its future, already resolved.
+
+        Flushes on the calling thread when no flush is running;
+        otherwise waits for the running one to end and then either finds
+        its key answered by a flush another request led, or leads the
+        next flush itself.  A failed compute resolves the future with
+        its exception.
 
         Raises:
             OverloadError: when the pending queue is full.
@@ -83,42 +88,54 @@ class MicroBatcher:
                 )
             self._pending.append((key, future))
             self.requests += 1
-            self._cond.notify()
+            batch = self._next_batch(future)
+        while batch:
+            try:
+                self._flush(batch)
+            finally:
+                with self._cond:
+                    self._flushing = False
+                    self._cond.notify_all()
+            with self._cond:
+                batch = self._next_batch(future)
         return future
 
     def close(self) -> None:
-        """Stop the flusher after draining whatever is queued."""
+        """Refuse new submissions; those already queued still complete."""
         with self._cond:
             self._closed = True
-            self._cond.notify()
-        self._worker.join(timeout=5.0)
 
     def stats(self) -> dict:
-        """JSON-ready batching counters."""
+        """JSON-ready batching counters.
+
+        ``dedup_saved`` and ``mean_batch`` count only requests whose
+        flush finished: not the queued, not the batch being computed,
+        and not a batch whose compute raised.
+        """
         with self._cond:
             requests, flushes = self.requests, self.flushes
             computed, depth = self.computed_keys, len(self._pending)
+            flushed = self._flushed_requests
         return {
             "requests": requests,
             "flushes": flushes,
             "computed_keys": computed,
-            "dedup_saved": requests - computed - depth,
+            "dedup_saved": flushed - computed,
             "queue_depth": depth,
-            "mean_batch": (requests / flushes) if flushes else 0.0,
+            "mean_batch": (flushed / flushes) if flushes else 0.0,
         }
 
-    # -- flusher loop --------------------------------------------------------
-
-    def _run(self) -> None:
-        while True:
-            with self._cond:
-                while not self._pending and not self._closed:
-                    self._cond.wait()
-                if not self._pending:  # closed and drained
-                    return
-                batch = self._pending[: self._max_batch]
-                del self._pending[: self._max_batch]
-            self._flush(batch)
+    def _next_batch(self, future: Future) -> list[tuple[int, Future]]:
+        """Under the lock: wait out a running flush, then take the next
+        batch to lead, or nothing once ``future`` is resolved."""
+        while self._flushing and not future.done():
+            self._cond.wait()
+        if future.done():
+            return []
+        self._flushing = True
+        batch = self._pending[: self._max_batch]
+        del self._pending[: self._max_batch]
+        return batch
 
     def _flush(self, batch: list[tuple[int, Future]]) -> None:
         unique: list[int] = []
@@ -142,6 +159,7 @@ class MicroBatcher:
         with self._cond:
             self.flushes += 1
             self.computed_keys += len(unique)
+            self._flushed_requests += len(batch)
         for key, future in batch:
             if future.set_running_or_notify_cancel():
                 future.set_result(results[position[key]])

@@ -662,10 +662,13 @@ class SnapshotIndex:
     def rows_of(self, addresses: np.ndarray) -> np.ndarray:
         """Vectorised :meth:`row_of`: one searchsorted for the whole batch."""
         addresses = np.asarray(addresses, dtype=np.int64)
-        pos = np.searchsorted(self._sorted_addresses, addresses)
-        pos = np.clip(pos, 0, max(self._sorted_addresses.size - 1, 0))
-        if self._sorted_addresses.size == 0:
+        n = self._sorted_addresses.size
+        if n == 0:
             return np.full(addresses.shape, -1, dtype=np.intp)
+        # searchsorted never returns a negative position: clamp the top.
+        pos = np.minimum(
+            np.searchsorted(self._sorted_addresses, addresses), n - 1
+        )
         found = self._sorted_addresses[pos] == addresses
         rows = np.where(found, self._addr_order[pos], -1)
         return rows.astype(np.intp)

@@ -21,10 +21,10 @@ collapsing under pressure:
 
 - **response cache** — an LRU keyed on ``(request target, snapshot
   hash)`` serves repeated queries without touching the index;
-- **micro-batching** — ``/locate`` cache misses go to one flusher
-  that flushes when idle: a lone miss is looked up at once, and misses
-  arriving while a flush computes coalesce into the next vectorised
-  ``locate_many`` flush (:mod:`repro.serve.batcher`);
+- **micro-batching** — a ``/locate`` cache miss that finds no flush
+  running is looked up at once on its own thread, and misses arriving
+  while a flush computes coalesce into the next vectorised
+  ``locate_many`` flush, led by one of them (:mod:`repro.serve.batcher`);
 - **backpressure** — both the in-flight request count and the batcher
   queue are bounded; beyond either bound the server sheds with
   ``503`` + ``Retry-After`` while ``/healthz`` keeps answering.
@@ -173,7 +173,7 @@ class SnapshotServer:
         return self
 
     def stop(self) -> None:
-        """Shut down cleanly: stop accepting, then drain the batcher."""
+        """Shut down cleanly: stop accepting, then close the batcher."""
         self._httpd.shutdown()
         self._httpd.server_close()
         if self._thread is not None:

@@ -114,6 +114,59 @@ class TestCli:
         assert "Traceback" not in captured.err
 
 
+class TestClusterServeInterrupt:
+    """SIGINT while the shard fleet starts must not orphan a shard."""
+
+    def test_interrupt_during_fleet_start_stops_the_fleet(
+        self, monkeypatch, tmp_path
+    ):
+        from repro.cluster.manager import ShardManager
+
+        stopped: list[ShardManager] = []
+
+        def interrupted(self):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(ShardManager, "start", interrupted)
+        monkeypatch.setattr(
+            ShardManager, "stop_all", lambda self: stopped.append(self)
+        )
+        with pytest.raises(KeyboardInterrupt):
+            main(["cluster", "serve", "--snapshot", str(tmp_path / "s.npz"),
+                  "--port", "0"])
+        assert len(stopped) == 1
+
+    def test_interrupt_before_banners_terminates_spawned_workers(
+        self, monkeypatch, tmp_path
+    ):
+        import numpy as np
+
+        from repro.cluster import coordinator, manager
+
+        spawned: list[object] = []
+        terminated: list[object] = []
+
+        def spawn(self, rng):
+            spawned.append(object())
+            return spawned[-1]
+
+        def no_banner(proc, timeout_s):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(
+            coordinator, "_snapshot_addresses",
+            lambda path: np.arange(100, dtype=np.int64),
+        )
+        monkeypatch.setattr(manager.ShardManager, "_spawn", spawn)
+        monkeypatch.setattr(manager, "_read_banner", no_banner)
+        monkeypatch.setattr(manager, "_terminate", terminated.append)
+        fleet = manager.ShardManager(tmp_path / "s.npz", n_ranges=2, replicas=2)
+        with pytest.raises(KeyboardInterrupt):
+            fleet.start()
+        assert len(spawned) == 4 and terminated == spawned
+        assert fleet.shards == []
+
+
 class TestReportCli:
     """The --report flag and the `repro report` subcommand."""
 

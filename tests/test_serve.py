@@ -8,9 +8,11 @@ the cache, micro-batching, and backpressure contracts.
 from __future__ import annotations
 
 import socket
+import sys
 import threading
 import time
 import urllib.error
+from concurrent.futures import Future
 
 import numpy as np
 import pytest
@@ -56,6 +58,41 @@ def client(server) -> SnapshotClient:
     return SnapshotClient(server.url)
 
 
+def _background_submit(batcher: MicroBatcher, key: int) -> Future:
+    """Submit ``key`` from a helper thread; the returned future settles
+    as that submission does.
+
+    ``submit`` runs a flush on the calling thread, or waits for a
+    running one, so gated tests park it on a helper thread.
+    """
+    proxy: Future = Future()
+
+    def run() -> None:
+        try:
+            result = batcher.submit(key).result()
+        except BaseException as exc:
+            proxy.set_exception(exc)
+        else:
+            proxy.set_result(result)
+
+    threading.Thread(target=run, daemon=True).start()
+    return proxy
+
+
+def _queue_behind(batcher: MicroBatcher, keys) -> list[Future]:
+    """:func:`_background_submit` each key while a flush is running,
+    in order: each is queued before the next is submitted."""
+    futures = []
+    for key in keys:
+        depth = batcher.queue_depth
+        futures.append(_background_submit(batcher, key))
+        deadline = time.monotonic() + 5.0
+        while batcher.queue_depth == depth and not futures[-1].done():
+            assert time.monotonic() < deadline, f"key {key} never queued"
+            time.sleep(0.001)
+    return futures
+
+
 def _tiny_dataset() -> MappedDataset:
     return MappedDataset(
         label="tiny",
@@ -88,6 +125,27 @@ class TestSnapshotIndex:
         assert batch == [index.locate(a) for a in addresses]
         assert batch[-2] is None
         assert batch[-1] == batch[0]
+
+    @pytest.mark.parametrize("size", [0, 1, 3])
+    def test_rows_of_matches_row_of(self, size):
+        full = _tiny_dataset()  # addresses 10, 20, 30
+        ds = MappedDataset(
+            label="cut",
+            kind=full.kind,
+            addresses=full.addresses[:size],
+            lats=full.lats[:size],
+            lons=full.lons[:size],
+            asns=full.asns[:size],
+            links=full.links[:0],
+        )
+        index = SnapshotIndex(ds)
+        # Below the first, exact hits, between, and above the last.
+        probes = np.array([-5, 0, 9, 10, 15, 20, 29, 30, 31, 10**12])
+        rows = index.rows_of(probes)
+        assert rows.dtype == np.intp and rows.shape == probes.shape
+        assert rows.tolist() == [index.row_of(int(a)) for a in probes]
+        assert (rows >= 0).sum() == size
+        assert index.rows_of(np.array([], dtype=np.int64)).size == 0
 
     def test_degree_matches_link_table(self, index, dataset):
         row = int(dataset.links[0, 0])
@@ -229,9 +287,9 @@ class TestMicroBatcher:
     def _gated_batcher(calls: list[list[int]], **kw):
         """A batcher whose flushes block until ``release`` is set.
 
-        Submitting the gate key 0 and waiting for ``entered`` parks the
-        flusher inside a compute; everything submitted after that is
-        pending together when the gate opens.
+        Submitting the gate key 0 (from a helper thread) and waiting for
+        ``entered`` parks that submission inside a compute; everything
+        submitted after that is pending together when the gate opens.
         """
         entered, release = threading.Event(), threading.Event()
 
@@ -247,9 +305,9 @@ class TestMicroBatcher:
         calls: list[list[int]] = []
         batcher, entered, release = self._gated_batcher(calls)
         try:
-            gate = batcher.submit(0)
+            gate = _background_submit(batcher, 0)
             assert entered.wait(timeout=5.0)
-            futures = [batcher.submit(k) for k in (5, 5, 8, 5)]
+            futures = _queue_behind(batcher, (5, 5, 8, 5))
             release.set()
             assert gate.result(timeout=5.0) == 1
             assert [f.result(timeout=5.0) for f in futures] == [6, 6, 9, 6]
@@ -267,9 +325,9 @@ class TestMicroBatcher:
         calls: list[list[int]] = []
         batcher, entered, release = self._gated_batcher(calls)
         try:
-            batcher.submit(0)
+            _background_submit(batcher, 0)
             assert entered.wait(timeout=5.0)
-            futures = [batcher.submit(k) for k in (7, 3, 7, 9, 3)]
+            futures = _queue_behind(batcher, (7, 3, 7, 9, 3))
             assert batcher.queue_depth == 5
             release.set()
             assert [f.result(timeout=5.0) for f in futures] == [8, 4, 8, 10, 4]
@@ -284,9 +342,9 @@ class TestMicroBatcher:
         calls: list[list[int]] = []
         batcher, entered, release = self._gated_batcher(calls, max_batch=2)
         try:
-            batcher.submit(0)
+            _background_submit(batcher, 0)
             assert entered.wait(timeout=5.0)
-            futures = [batcher.submit(k) for k in (1, 2, 3, 4, 5)]
+            futures = _queue_behind(batcher, (1, 2, 3, 4, 5))
             release.set()
             assert [f.result(timeout=5.0) for f in futures] == [2, 3, 4, 5, 6]
             assert calls == [[0], [1, 2], [3, 4], [5]]
@@ -297,31 +355,31 @@ class TestMicroBatcher:
     def test_lone_submissions_do_not_wait_for_company(self):
         batcher = MicroBatcher(lambda keys: [k * 3 for k in keys])
         try:
-            batcher.submit(0).result(timeout=5.0)  # flusher warmed up
+            batcher.submit(0).result(timeout=5.0)  # warmed up
             start = time.perf_counter()
             for k in range(50):
                 assert batcher.submit(k).result(timeout=5.0) == k * 3
             elapsed = time.perf_counter() - start
-            # Flush when idle: 50 round trips cost thread hand-offs only.
+            # A lone submission flushes on its own thread at once.
             assert elapsed < 0.05, f"50 lone round trips took {elapsed:.3f}s"
             assert batcher.stats()["mean_batch"] == 1.0
         finally:
             batcher.close()
 
     def test_overflow_sheds(self):
-        blocker = threading.Event()
+        blocker, entered = threading.Event(), threading.Event()
 
         def compute(keys):
+            entered.set()
             blocker.wait(timeout=5.0)
             return [0 for _ in keys]
 
         batcher = MicroBatcher(compute, max_pending=2)
         try:
-            # Fill the queue while the flusher is blocked in compute.
-            batcher.submit(1)
-            time.sleep(0.05)  # let the flusher take the first batch
-            batcher.submit(2)
-            batcher.submit(3)
+            # Fill the queue while the first flush is blocked in compute.
+            _background_submit(batcher, 1)
+            assert entered.wait(timeout=5.0)  # the first batch is taken
+            _queue_behind(batcher, (2, 3))
             with pytest.raises(OverloadError):
                 batcher.submit(4)
         finally:
@@ -349,6 +407,101 @@ class TestMicroBatcher:
     def test_invalid_configuration(self):
         with pytest.raises(ServeError):
             MicroBatcher(lambda keys: [], max_batch=0)
+
+    def test_lone_submission_flushes_on_the_calling_thread(self):
+        threads: list[int] = []
+
+        def compute(keys):
+            threads.append(threading.get_ident())
+            return [k for k in keys]
+
+        before = threading.active_count()
+        batcher = MicroBatcher(compute)
+        assert threading.active_count() == before  # no thread of its own
+        future = batcher.submit(4)
+        assert future.done() and future.result() == 4
+        assert threads == [threading.get_ident()]
+
+    def test_concurrent_leaders_never_overlap(self):
+        # Stress: more submitters than cores and a short switch interval.
+        # Exactly one flush may run at a time, and every request must
+        # resolve with its own key's result and be counted once.
+        lock = threading.Lock()
+        active, peaks, wrong = [0], [], []
+
+        def compute(keys):
+            with lock:
+                active[0] += 1
+                peaks.append(active[0])
+            time.sleep(0)  # yield mid-flush
+            with lock:
+                active[0] -= 1
+            return [k * 2 for k in keys]
+
+        batcher = MicroBatcher(compute, max_batch=8)
+
+        def worker(w: int) -> None:
+            for i in range(200):
+                key = (w * 7 + i) % 50
+                if batcher.submit(key).result(timeout=5.0) != key * 2:
+                    wrong.append(key)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [
+                threading.Thread(target=worker, args=(w,)) for w in range(8)
+            ]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=30.0)
+                assert not t.is_alive()
+        finally:
+            sys.setswitchinterval(interval)
+        assert wrong == [] and max(peaks) == 1
+        stats = batcher.stats()
+        assert stats["requests"] == 1600 and stats["queue_depth"] == 0
+        assert stats["computed_keys"] + stats["dedup_saved"] == 1600
+        assert stats["mean_batch"] * stats["flushes"] == pytest.approx(1600)
+
+    def test_stats_count_only_finished_flushes(self):
+        calls: list[list[int]] = []
+        batcher, entered, release = self._gated_batcher(calls)
+        try:
+            gate = _background_submit(batcher, 0)
+            assert entered.wait(timeout=5.0)
+            during = batcher.stats()
+            assert during["requests"] == 1 and during["flushes"] == 0
+            assert during["dedup_saved"] == 0
+            assert during["mean_batch"] == 0.0
+            release.set()
+            assert gate.result(timeout=5.0) == 1
+            after = batcher.stats()
+            assert after["flushes"] == 1 and after["dedup_saved"] == 0
+            assert after["mean_batch"] == 1.0
+        finally:
+            release.set()
+            batcher.close()
+
+    def test_failed_flush_counts_in_no_batch_stats(self):
+        failures = [RuntimeError("boom")]
+
+        def compute(keys):
+            if failures:
+                raise failures.pop()
+            return [k for k in keys]
+
+        batcher = MicroBatcher(compute)
+        with pytest.raises(RuntimeError):
+            batcher.submit(1).result(timeout=5.0)
+        stats = batcher.stats()
+        assert stats["requests"] == 1 and stats["flushes"] == 0
+        assert stats["dedup_saved"] == 0 and stats["mean_batch"] == 0.0
+        assert batcher.submit(2).result(timeout=5.0) == 2
+        stats = batcher.stats()
+        assert stats["requests"] == 2 and stats["flushes"] == 1
+        assert stats["dedup_saved"] == 0 and stats["mean_batch"] == 1.0
 
 
 class TestServerEndToEnd:
@@ -610,9 +763,9 @@ class TestBatcherShutdownFlush:
             return [k * 2 for k in keys]
 
         batcher = MicroBatcher(compute, max_batch=1)
-        first = batcher.submit(1)
-        assert entered.wait(timeout=5.0)  # flusher is busy with key 1
-        queued = [batcher.submit(k) for k in (2, 3, 4)]
+        first = _background_submit(batcher, 1)
+        assert entered.wait(timeout=5.0)  # a flush is busy with key 1
+        queued = _queue_behind(batcher, (2, 3, 4))
         closer = threading.Thread(target=batcher.close)
         closer.start()
         release.set()
